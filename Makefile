@@ -1,7 +1,7 @@
 # Mirrors .github/workflows/ci.yml so local and CI invocations stay identical.
 GO ?= go
 
-.PHONY: all build vet fmt test race bench perf perf-baseline serve test-generic cross pack scale
+.PHONY: all build vet fmt test race bench perf perf-baseline serve test-generic cross pack scale perfbench
 
 all: build vet fmt test
 
@@ -25,6 +25,10 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
+
+# perfbench/ is a nested module that `go test ./...` never builds.
+perfbench:
+	$(GO) -C perfbench vet ./... && $(GO) -C perfbench test ./...
 
 # Full suite forced onto the pure-Go kernel tier: proves the SIMD dispatch
 # fallback path stays correct, not just compiled.

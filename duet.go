@@ -298,8 +298,10 @@ type (
 var ErrEstimatorClosed = serve.ErrClosed
 
 // NewEstimator wraps a model in the concurrent batched serving engine. The
-// engine owns all model access from this point: do not call the model's own
-// estimation or training methods concurrently with it.
+// model's EstimateCardBatch is safe for concurrent use, so callers may keep
+// batch-estimating through the model directly; do not call its training,
+// SetPlanConfig or single-query EstimateCard/EstimateDetail methods
+// concurrently with the engine.
 //
 // The engine's result cache and in-flight deduplication identify queries by
 // predicate set, which is only sound for order-invariant estimators: the

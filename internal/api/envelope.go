@@ -7,6 +7,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 	"mime"
 	"net/http"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -56,6 +58,7 @@ const (
 	CodeOverloaded  = "overloaded"
 	CodeUnsupported = "unsupported_media_type"
 	CodeUpstream    = "upstream_error"
+	CodeInternal    = "internal"
 )
 
 // codeFor maps an HTTP status to its envelope code.
@@ -71,6 +74,8 @@ func codeFor(status int) string {
 		return CodeUnsupported
 	case http.StatusBadGateway:
 		return CodeUpstream
+	case http.StatusInternalServerError:
+		return CodeInternal
 	default:
 		return CodeBadRequest
 	}
@@ -122,9 +127,24 @@ func WriteError(w http.ResponseWriter, r *http.Request, status int, err error, d
 	})
 }
 
-func WriteJSON(w http.ResponseWriter, v any) {
+// jsonBufs recycles WriteJSON's encode buffers.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// WriteJSON renders v as a 200 JSON response. v is encoded into a buffer
+// before the status line goes out, so a value JSON cannot represent (a NaN
+// or infinite estimate) turns into a 500 error envelope rather than an empty
+// 200.
+func WriteJSON(w http.ResponseWriter, r *http.Request, v any) {
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer jsonBufs.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		slog.Error("encode response failed", "path", r.URL.Path, "error", err)
+		WriteError(w, r, http.StatusInternalServerError, fmt.Errorf("encode response: %w", err), nil)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	if _, err := w.Write(buf.Bytes()); err != nil {
 		slog.Error("write response failed", "error", err)
 	}
 }

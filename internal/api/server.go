@@ -140,7 +140,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request) {
 		}
 		obs.FromContext(r.Context()).SetAttr("model", res.Models[0])
 		SetModelLabel(r.Context(), res.Models[0])
-		WriteJSON(w, estimateResponse{Model: res.Models[0], Card: &res.Cards[0], ElapsedNS: time.Since(t0).Nanoseconds()})
+		WriteJSON(w, r, estimateResponse{Model: res.Models[0], Card: &res.Cards[0], ElapsedNS: time.Since(t0).Nanoseconds()})
 	case len(req.Queries) > 0 && req.Query == "":
 		res, err := s.reg.Query(r.Context(), registry.QueryRequest{Model: req.Model, Exprs: req.Queries})
 		if err != nil {
@@ -148,7 +148,7 @@ func (s *Server) estimate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		SetModelLabel(r.Context(), batchModelLabel(res.Models))
-		WriteJSON(w, estimateResponse{Models: res.Models, Cards: res.Cards, ElapsedNS: time.Since(t0).Nanoseconds()})
+		WriteJSON(w, r, estimateResponse{Models: res.Models, Cards: res.Cards, ElapsedNS: time.Since(t0).Nanoseconds()})
 	default:
 		WriteError(w, r, http.StatusBadRequest,
 			fmt.Errorf(`provide exactly one of "query" or "queries"`), nil)
@@ -214,7 +214,7 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, statusFor(err), err, nil)
 		return
 	}
-	WriteJSON(w, res)
+	WriteJSON(w, r, res)
 }
 
 // feedbackRequest records observed true cardinalities: a single query+card
@@ -267,10 +267,10 @@ func (s *Server) feedback(w http.ResponseWriter, r *http.Request) {
 		results[i] = res
 	}
 	if req.Query != "" && len(req.Items) == 0 {
-		WriteJSON(w, results[0])
+		WriteJSON(w, r, results[0])
 		return
 	}
-	WriteJSON(w, map[string]any{"results": results})
+	WriteJSON(w, r, map[string]any{"results": results})
 }
 
 // lifecycle snapshots the supervisor's drift state plus each model's serving
@@ -286,11 +286,11 @@ func (s *Server) lifecycle(w http.ResponseWriter, r *http.Request) {
 	for name, ms := range st.PerModel {
 		out.Serving[name] = servingIdentity{Version: ms.Version, Swaps: ms.Swaps, Reloads: ms.Reloads}
 	}
-	WriteJSON(w, out)
+	WriteJSON(w, r, out)
 }
 
-func (s *Server) models(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, map[string]any{"models": s.reg.Info()})
+func (s *Server) models(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, r, map[string]any{"models": s.reg.Info()})
 }
 
 func (s *Server) reload(w http.ResponseWriter, r *http.Request) {
@@ -301,11 +301,11 @@ func (s *Server) reload(w http.ResponseWriter, r *http.Request) {
 	}
 	s.suite.Logger().Info("model reloaded on admin request",
 		"model", name, "request_id", r.Header.Get(RequestIDHeader))
-	WriteJSON(w, map[string]string{"status": "reloaded", "model": name})
+	WriteJSON(w, r, map[string]string{"status": "reloaded", "model": name})
 }
 
-func (s *Server) healthz(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, map[string]any{
+func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, r, map[string]any{
 		"status":   "ok",
 		"models":   s.reg.Names(),
 		"uptime_s": int64(time.Since(s.start).Seconds()),
@@ -320,6 +320,6 @@ type statsResponse struct {
 	UptimeS int64 `json:"uptime_s"`
 }
 
-func (s *Server) stats(w http.ResponseWriter, _ *http.Request) {
-	WriteJSON(w, statsResponse{Stats: s.reg.Stats(), UptimeS: int64(time.Since(s.start).Seconds())})
+func (s *Server) stats(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, r, statsResponse{Stats: s.reg.Stats(), UptimeS: int64(time.Since(s.start).Seconds())})
 }

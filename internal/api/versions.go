@@ -74,7 +74,7 @@ func (s *Server) versions(w http.ResponseWriter, r *http.Request) {
 	if st, ok := s.reg.Stats().PerModel[name]; ok {
 		current = st.Version
 	}
-	WriteJSON(w, map[string]any{"model": name, "serving": current, "versions": vs})
+	WriteJSON(w, r, map[string]any{"model": name, "serving": current, "versions": vs})
 }
 
 // artifact streams one versioned model file; the rolling install's pull
@@ -165,7 +165,7 @@ func (s *Server) pull(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, statusFor(err), err, nil)
 		return
 	}
-	WriteJSON(w, map[string]any{"status": "installed", "model": name, "version": req.Version, "path": path})
+	WriteJSON(w, r, map[string]any{"status": "installed", "model": name, "version": req.Version, "path": path})
 }
 
 // fetchArtifact downloads one artifact to its canonical local path via a

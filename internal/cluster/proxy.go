@@ -404,7 +404,7 @@ func (p *Proxy) rollout(w http.ResponseWriter, r *http.Request) {
 	if failed > 0 {
 		out["failed"] = failed
 	}
-	api.WriteJSON(w, out)
+	api.WriteJSON(w, r, out)
 }
 
 // pullOn asks one peer to pull and install an artifact version.
@@ -456,13 +456,13 @@ func (p *Proxy) models(w http.ResponseWriter, r *http.Request) {
 		list = append(list, placement{Name: n, Owners: p.Owners(n)})
 	}
 	sort.Slice(list, func(i, j int) bool { return list[i].Name < list[j].Name })
-	api.WriteJSON(w, map[string]any{"models": list})
+	api.WriteJSON(w, r, map[string]any{"models": list})
 }
 
 // healthz reports the proxy's own liveness plus every member's probe state.
 // The proxy is "ok" while at least one member is in rotation, "degraded"
 // otherwise — it still answers, but estimates will shed.
-func (p *Proxy) healthz(w http.ResponseWriter, _ *http.Request) {
+func (p *Proxy) healthz(w http.ResponseWriter, r *http.Request) {
 	snapshot := p.check.Snapshot()
 	status := "degraded"
 	for _, m := range snapshot {
@@ -471,7 +471,7 @@ func (p *Proxy) healthz(w http.ResponseWriter, _ *http.Request) {
 			break
 		}
 	}
-	api.WriteJSON(w, map[string]any{
+	api.WriteJSON(w, r, map[string]any{
 		"status":   status,
 		"role":     "proxy",
 		"members":  snapshot,
@@ -499,7 +499,7 @@ func (p *Proxy) stats(w http.ResponseWriter, r *http.Request) {
 		}(addr)
 	}
 	wg.Wait()
-	api.WriteJSON(w, map[string]any{
+	api.WriteJSON(w, r, map[string]any{
 		"proxy": map[string]any{
 			"forwarded": p.met.forwarded.Value(),
 			"failovers": p.met.failovers.Value(),
@@ -510,8 +510,8 @@ func (p *Proxy) stats(w http.ResponseWriter, r *http.Request) {
 }
 
 // cluster reports the ring configuration and membership.
-func (p *Proxy) cluster(w http.ResponseWriter, _ *http.Request) {
-	api.WriteJSON(w, map[string]any{
+func (p *Proxy) cluster(w http.ResponseWriter, r *http.Request) {
+	api.WriteJSON(w, r, map[string]any{
 		"members":     p.ring.Members(),
 		"replication": p.cfg.Replication,
 		"health":      p.check.Snapshot(),

@@ -220,7 +220,7 @@ func (p *Proxy) traces(w http.ResponseWriter, r *http.Request) {
 		stitched = append(stitched, stitch(id, byID[id], partial))
 	}
 	sort.SliceStable(stitched, func(i, j int) bool { return stitched[i].DurationUS > stitched[j].DurationUS })
-	api.WriteJSON(w, map[string]any{"traces": stitched, "partial": partial})
+	api.WriteJSON(w, r, map[string]any{"traces": stitched, "partial": partial})
 }
 
 func sortedKeys(m map[string][]obs.TraceSnapshot) []string {

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"duet/internal/made"
@@ -82,22 +83,35 @@ type Model struct {
 	net    *made.MADE
 	params []*nn.Param
 
-	merged  *mergedMPSN     // optional fused inference path, built by Merge
-	plan    *made.Plan      // packed batch inference plan, built lazily, nil when stale
-	planCfg made.PlanConfig // how the plan is compiled (e.g. int8 quantization)
+	merged  *mergedMPSN               // optional fused inference path, built by Merge
+	plan    atomic.Pointer[made.Plan] // packed batch inference plan, built lazily, nil when stale
+	planCfg made.PlanConfig           // how the plan is compiled (e.g. int8 quantization)
 
-	// Inference scratch (Estimate is not safe for concurrent use; clone the
-	// model or guard with a mutex for concurrent estimation — the serve
-	// package funnels concurrent callers through a single dispatcher).
-	xRow       *tensor.Matrix
-	xBatch     *tensor.Matrix // reusable batch encode buffer
-	specBatch  []Spec         // reusable spec slice for EstimateCardBatch
-	neededRows [][]int32      // reusable per-row constrained-block lists
-	neededMask []bool
-	probs      []float32
-	probsPool  sync.Pool // per-worker softmax scratch for batched masking
+	// Batched inference state. The plan is immutable once published and
+	// every EstimateCardBatch call takes its own workspace from work, so
+	// batched estimation needs no lock; encMu serializes only the MPSN
+	// encoders, whose layers keep per-call activations.
+	work  sync.Pool // *batchWork
+	encMu sync.Mutex
 
-	lastSpecs []Spec // specs of the last forward batch, for backward routing
+	// Single-query scratch of EstimateCard/EstimateDetail, which (like
+	// training) is not safe for concurrent use.
+	xRow *tensor.Matrix
+
+	lastSpecs []Spec // specs of the last training forward, for backward routing
+}
+
+// batchWork is the scratch one EstimateCardBatch call mutates: the plan's
+// activations, the encoded batch, and the per-row constrained columns with
+// their code intervals. Buffers keep their capacity across calls.
+type batchWork struct {
+	plan   made.Workspace
+	x      tensor.Matrix
+	specs  []Spec
+	needed [][]int32             // per row: constrained columns, ascending
+	ivs    [][]workload.Interval // per row: the interval of each needed column
+	seen   []bool                // per column: constrained by the current query
+	colIv  []workload.Interval   // per column: the current query's interval
 }
 
 // NewModel builds an untrained Duet model for t.
@@ -136,25 +150,11 @@ func NewModel(t *relation.Table, cfg Config) *Model {
 		m.params = append(m.params, mp.Params()...)
 	}
 	m.params = append(m.params, m.net.Params()...)
-	maxOut := maxInt(outBlocks)
-	m.probs = make([]float32, maxOut)
 	m.xRow = tensor.New(1, m.net.In.Tot)
-	m.xBatch = &tensor.Matrix{}
-	m.probsPool.New = func() any {
-		s := make([]float32, maxOut)
-		return &s
+	m.work.New = func() any {
+		return &batchWork{seen: make([]bool, n), colIv: make([]workload.Interval, n)}
 	}
 	return m
-}
-
-func maxInt(xs []int) int {
-	mx := 0
-	for _, v := range xs {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
 }
 
 // Name identifies the estimator; hybrid-trained models report "duet" and
@@ -183,7 +183,9 @@ func (m *Model) encodeBatch(specs []Spec) *tensor.Matrix {
 // encodeBatchInto is encodeBatch with an optional reusable destination: a
 // non-nil buf is resized (keeping capacity) and fully overwritten, so the
 // serving hot path encodes micro-batches without allocating. buf == nil
-// allocates fresh storage, which training relies on.
+// allocates fresh storage, which training relies on. The direct encoding
+// only reads the model; the MPSN encoders keep activations in their layers,
+// so concurrent callers in MPSN mode must hold encMu.
 func (m *Model) encodeBatchInto(specs []Spec, buf *tensor.Matrix) *tensor.Matrix {
 	b := len(specs)
 	var x *tensor.Matrix
@@ -192,7 +194,6 @@ func (m *Model) encodeBatchInto(specs []Spec, buf *tensor.Matrix) *tensor.Matrix
 	} else {
 		x = tensor.New(b, m.net.In.Tot)
 	}
-	m.lastSpecs = specs
 	if m.cfg.MPSN == MPSNNone {
 		for r, spec := range specs {
 			row := x.Row(r)
@@ -227,8 +228,10 @@ func (m *Model) encodeBatchInto(specs []Spec, buf *tensor.Matrix) *tensor.Matrix
 }
 
 // Forward encodes specs and runs the autoregressive network, returning
-// per-column logits.
+// per-column logits. It is the training forward: it records specs so
+// Backward can route gradients into the encoders.
 func (m *Model) Forward(specs []Spec) *tensor.Matrix {
+	m.lastSpecs = specs
 	return m.net.Forward(m.encodeBatch(specs))
 }
 
@@ -305,34 +308,33 @@ func (m *Model) SpecFromQuery(q workload.Query) Spec {
 }
 
 // EstimateCard estimates the query's cardinality with a single forward pass
-// (Algorithm 3): encode predicates, one network inference, zero-out each
-// column's probabilities outside its predicate interval, multiply the
-// surviving masses. No sampling, deterministic.
+// (Algorithm 3): encode predicates, one network inference, then per
+// constrained column the softmax mass inside its predicate interval; the
+// estimate is the product of those masses. No sampling, deterministic.
 func (m *Model) EstimateCard(q workload.Query) float64 {
 	card, _, _ := m.EstimateDetail(q)
 	return card
 }
 
 // EstimateDetail additionally reports the time spent encoding versus in
-// network inference + masking, the breakdown of Figure 6.
+// network inference + masking, the breakdown of Figure 6. Like training it
+// runs the layer stack and shares the model's single-row scratch, so it is
+// not safe for concurrent use; EstimateCardBatch is.
 func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferNS int64) {
 	t0 := time.Now()
 	spec := m.SpecFromQuery(q)
-	var logits *tensor.Matrix
+	var x *tensor.Matrix
 	if m.merged != nil && m.cfg.MPSN != MPSNNone {
-		x := m.merged.encode(m, spec, m.xRow)
-		encodeNS = time.Since(t0).Nanoseconds()
-		t1 := time.Now()
-		logits = m.net.Forward(x)
-		sel := m.maskedProduct(logits.Row(0), q)
-		inferNS = time.Since(t1).Nanoseconds()
-		return sel * float64(m.table.NumRows()), encodeNS, inferNS
+		x = m.merged.encode(m, spec, m.xRow)
+	} else {
+		x = m.encodeBatchInto([]Spec{spec}, m.xRow)
 	}
-	x := m.encodeBatchInto([]Spec{spec}, m.xRow)
 	encodeNS = time.Since(t0).Nanoseconds()
 	t1 := time.Now()
-	logits = m.net.Forward(x)
-	sel := m.maskedProduct(logits.Row(0), q)
+	logits := m.net.Forward(x)
+	n := m.table.NumCols()
+	cols, ivs := m.constrained(q, make([]bool, n), make([]workload.Interval, n), nil, nil)
+	sel := m.maskedProduct(logits.Row(0), cols, ivs)
 	inferNS = time.Since(t1).Nanoseconds()
 	return sel * float64(m.table.NumRows()), encodeNS, inferNS
 }
@@ -341,103 +343,132 @@ func (m *Model) EstimateDetail(q workload.Query) (card float64, encodeNS, inferN
 // (made.Plan): all specs are encoded into a single input matrix, a
 // sparsity-packed forward computes only the logit blocks each query's
 // masked product will read, and the per-row masked products run in
-// parallel. Like the fused path built by Merge, planned results match
-// EstimateCard up to floating-point summation order; they are bitwise
-// deterministic and independent of batch composition (every kernel
-// processes rows independently in a fixed order), so callers may batch
-// opportunistically without changing estimates. Like EstimateCard it is
-// not safe for concurrent use; the serve package serializes access for
-// concurrent callers. The plan and encode buffers are retained on the
-// model, so steady-state batch estimation does not allocate matrices;
-// training invalidates the plan automatically.
+// parallel. Planned results match EstimateCard up to floating-point
+// summation order; they are bitwise deterministic and independent of batch
+// composition (every kernel processes rows independently in a fixed order),
+// so callers may batch opportunistically without changing estimates.
+//
+// EstimateCardBatch is safe for concurrent use: the compiled plan is
+// immutable and shared, and each call works in its own pooled workspace, so
+// steady-state batch estimation neither allocates matrices nor takes a lock
+// (MPSN-mode encoders excepted, which serialize the encode step only). It
+// must not race with training or SetPlanConfig; training invalidates the
+// plan automatically.
 func (m *Model) EstimateCardBatch(qs []workload.Query) []float64 {
 	out := make([]float64, len(qs))
 	if len(qs) == 0 {
 		return out
 	}
-	if m.plan == nil {
-		m.plan = made.NewPlan(m.net, m.planCfg)
-	}
-	specs := m.specBatch[:0]
+	plan := m.currentPlan()
+	w := m.work.Get().(*batchWork)
+	defer m.work.Put(w)
+	specs := w.specs[:0]
 	for _, q := range qs {
 		specs = append(specs, m.SpecFromQuery(q))
 	}
-	m.specBatch = specs[:0]
+	w.specs = specs
 	var x *tensor.Matrix
-	if m.merged != nil && m.cfg.MPSN != MPSNNone {
+	switch {
+	case m.cfg.MPSN == MPSNNone:
+		x = m.encodeBatchInto(specs, &w.x)
+	case m.merged != nil:
 		// The fused MPSN encoder is single-row; run it per query into the
 		// shared row scratch and gather rows into the batch matrix, keeping
 		// the exact encode path EstimateCard uses.
-		x = m.xBatch.Resize(len(qs), m.net.In.Tot)
+		x = w.x.Resize(len(qs), m.net.In.Tot)
+		m.encMu.Lock()
 		for r, spec := range specs {
 			m.merged.encode(m, spec, m.xRow)
 			copy(x.Row(r), m.xRow.Row(0))
 		}
-	} else {
-		x = m.encodeBatchInto(specs, m.xBatch)
+		m.encMu.Unlock()
+	default:
+		m.encMu.Lock()
+		x = m.encodeBatchInto(specs, &w.x)
+		m.encMu.Unlock()
 	}
 	// The masked product reads only constrained columns' logit blocks, so
 	// the plan computes exactly those per row.
-	needed := m.neededBlocks(qs)
-	logits := m.plan.Forward(x, needed)
+	m.neededBlocks(w, qs)
+	logits := plan.Forward(&w.plan, x, w.needed)
 	rows := float64(m.table.NumRows())
 	tensor.ParallelFor(len(qs), 4, func(lo, hi int) {
-		probs := m.probsPool.Get().(*[]float32)
 		for r := lo; r < hi; r++ {
-			out[r] = m.maskedProductInto(*probs, logits.Row(r), qs[r]) * rows
+			out[r] = m.maskedProduct(logits.Row(r), w.needed[r], w.ivs[r]) * rows
 		}
-		m.probsPool.Put(probs)
 	})
+	clear(w.specs) // drop the per-query predicate lists before pooling
 	return out
 }
 
-// neededBlocks returns, per query, the ascending list of constrained column
-// indices — the only logit blocks the masked product will read. The backing
-// storage is reused across calls.
-func (m *Model) neededBlocks(qs []workload.Query) [][]int32 {
-	n := m.table.NumCols()
-	if cap(m.neededRows) < len(qs) {
-		next := make([][]int32, len(qs))
-		copy(next, m.neededRows)
-		m.neededRows = next
+// currentPlan returns the published plan, compiling and publishing one if it
+// is stale. Concurrent callers may both compile; one plan wins and every
+// caller runs the winner, so estimates never depend on which compiled.
+func (m *Model) currentPlan() *made.Plan {
+	if p := m.plan.Load(); p != nil {
+		return p
 	}
-	m.neededRows = m.neededRows[:len(qs)]
-	if cap(m.neededMask) < n {
-		m.neededMask = make([]bool, n)
+	p := made.NewPlan(m.net, m.planCfg)
+	if !m.plan.CompareAndSwap(nil, p) {
+		if won := m.plan.Load(); won != nil {
+			return won
+		}
 	}
-	mask := m.neededMask[:n]
+	return p
+}
+
+// neededBlocks fills w.needed (per query, the ascending constrained column
+// indices — the only logit blocks the masked product will read) and w.ivs
+// (each such column's code interval), reusing their storage.
+func (m *Model) neededBlocks(w *batchWork, qs []workload.Query) {
+	if cap(w.needed) < len(qs) {
+		w.needed = append(w.needed[:cap(w.needed)], make([][]int32, len(qs)-cap(w.needed))...)
+		w.ivs = append(w.ivs[:cap(w.ivs)], make([][]workload.Interval, len(qs)-cap(w.ivs))...)
+	}
+	w.needed, w.ivs = w.needed[:len(qs)], w.ivs[:len(qs)]
 	for r, q := range qs {
-		row := m.neededRows[r][:0]
-		for i := range mask {
-			mask[i] = false
-		}
-		for _, p := range q.Preds {
-			mask[p.Col] = true
-		}
-		for i, constrained := range mask {
-			if constrained {
-				row = append(row, int32(i))
-			}
-		}
-		m.neededRows[r] = row
+		w.needed[r], w.ivs[r] = m.constrained(q, w.seen, w.colIv, w.needed[r][:0], w.ivs[r][:0])
 	}
-	return m.neededRows
+}
+
+// constrained appends q's constrained columns, ascending, to cols and the
+// intersection of each one's predicate intervals to ivs. seen and colIv are
+// per-column scratch; seen must be all false and is left that way.
+func (m *Model) constrained(q workload.Query, seen []bool, colIv []workload.Interval, cols []int32, ivs []workload.Interval) ([]int32, []workload.Interval) {
+	for _, p := range q.Preds {
+		ndv := m.table.Cols[p.Col].NumDistinct()
+		iv := &colIv[p.Col]
+		if !seen[p.Col] {
+			seen[p.Col] = true
+			*iv = workload.Interval{Lo: 0, Hi: int32(ndv) - 1}
+		}
+		lo, hi := p.Interval(ndv)
+		iv.Lo, iv.Hi = max(iv.Lo, lo), min(iv.Hi, hi)
+	}
+	for i, c := range seen {
+		if c {
+			cols = append(cols, int32(i))
+			ivs = append(ivs, colIv[i])
+			seen[i] = false
+		}
+	}
+	return cols, ivs
 }
 
 // InvalidatePlan discards the packed inference plan; the next batched
 // estimate recompiles it from the current weights. Training does this
 // automatically — call it manually only after mutating parameters directly.
-func (m *Model) InvalidatePlan() { m.plan = nil }
+func (m *Model) InvalidatePlan() { m.plan.Store(nil) }
 
 // SetPlanConfig selects how the packed inference plan is compiled (e.g.
 // int8 weight quantization). A change invalidates any existing plan. The
 // setting is serving configuration, not model state: Save does not persist
 // it, and the registry re-applies it from the manifest after every load.
-// Like the other plan operations it must not race with inference.
+// It must not race with inference.
 func (m *Model) SetPlanConfig(cfg made.PlanConfig) {
 	if cfg != m.planCfg {
 		m.planCfg = cfg
-		m.plan = nil
+		m.plan.Store(nil)
 	}
 }
 
@@ -447,53 +478,48 @@ func (m *Model) PlanConfig() made.PlanConfig { return m.planCfg }
 // WarmPlan compiles the packed inference plan now (if stale) instead of on
 // the first batched estimate, and reports its resident weight bytes. The
 // registry warms plans at install time so the first estimate after an add,
-// reload or swap does not pay compilation latency — and so concurrent
-// readers never observe a half-built plan (Model is externally serialized
-// only on the serving path).
+// reload or swap does not pay compilation latency.
 func (m *Model) WarmPlan() int {
-	if m.plan == nil {
-		m.plan = made.NewPlan(m.net, m.planCfg)
-	}
-	return m.plan.WeightBytes()
+	return m.currentPlan().WeightBytes()
 }
 
 // maskedProduct computes Π_i Σ_{v∈I_i} P(C_i = v | ·) over the constrained
-// columns, the core of Algorithm 3.
-func (m *Model) maskedProduct(logitRow []float32, q workload.Query) float64 {
-	return m.maskedProductInto(m.probs, logitRow, q)
-}
-
-// maskedProductInto is maskedProduct with caller-supplied softmax scratch
-// (len ≥ the largest column NDV), so batched masking can run on multiple
-// rows concurrently with per-worker buffers.
-func (m *Model) maskedProductInto(scratch []float32, logitRow []float32, q workload.Query) float64 {
-	ivs := q.ColumnIntervals(m.table)
-	mask := q.ConstrainedMask(m.table.NumCols())
+// columns cols (ascending, with intervals ivs), the core of Algorithm 3.
+func (m *Model) maskedProduct(logitRow []float32, cols []int32, ivs []workload.Interval) float64 {
 	sel := 1.0
-	for i := range m.table.Cols {
-		if !mask[i] {
-			continue // unconstrained columns integrate to 1
-		}
-		iv := ivs[i]
+	for k, c := range cols {
+		iv := ivs[k]
 		if iv.Empty() {
 			return 0
 		}
-		seg := m.net.Out.Slice(logitRow, i)
-		probs := scratch[:len(seg)]
-		nn.Softmax(probs, seg)
-		var f float64
-		for v := iv.Lo; v <= iv.Hi; v++ {
-			f += float64(probs[v])
-		}
-		if f < 1e-12 {
-			f = 1e-12
-		}
-		if f > 1 {
-			f = 1
-		}
-		sel *= f
+		sel *= intervalMass(m.net.Out.Slice(logitRow, int(c)), iv.Lo, iv.Hi)
 	}
 	return sel
+}
+
+// intervalMass returns Σ_{lo≤v≤hi} softmax(seg)_v in one pass over seg and
+// without a probability buffer: with m the segment max, the mass is
+// in / (below + in + above), each term a vectorized Σ e^{seg_v - m} over
+// the range below, inside and above the interval. The result is clamped to
+// [1e-12, 1] so the product stays positive.
+func intervalMass(seg []float32, lo, hi int32) float64 {
+	mx := seg[0]
+	for _, v := range seg[1:] {
+		if v > mx {
+			mx = v
+		}
+	}
+	below := float64(tensor.ExpSum(seg[:lo], mx))
+	in := float64(tensor.ExpSum(seg[lo:hi+1], mx))
+	above := float64(tensor.ExpSum(seg[hi+1:], mx))
+	f := in / (below + in + above)
+	if f < 1e-12 {
+		f = 1e-12
+	}
+	if f > 1 {
+		f = 1
+	}
+	return f
 }
 
 // modelBlob is the gob wire format of a saved model.

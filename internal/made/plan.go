@@ -20,7 +20,9 @@
 // deterministic and independent of batch composition, because every kernel
 // processes rows independently in a fixed order. A Plan is a snapshot:
 // weights updated by training are not reflected; rebuild after training.
-// Forward is safe for concurrent use only via external serialization.
+// A Plan is immutable once built: everything a Forward call writes lives in
+// the caller's Workspace, so concurrent Forward calls with distinct
+// workspaces are safe.
 //
 // PlanConfig{Quantize: true} builds the plan with int8 weights instead of
 // float32: every packed span (and every hidden row of an output slab) stores
@@ -54,13 +56,25 @@ type Plan struct {
 	out       nn.Blocks
 	trunk     []planLayer
 	proj      *packedOutput
-	logits    *tensor.Matrix // reusable output buffer
+	slots     int // activation buffers a Forward needs besides the logits
 	quantized bool
 }
 
-// planLayer is one compiled trunk stage.
+// Workspace holds the activation buffers of one Forward call: one per trunk
+// stage that produces a new matrix, plus the logits. The zero value is ready
+// to use; buffers grow to the largest batch seen and are then reused, so a
+// workspace kept per caller (or pooled) makes steady-state Forward calls
+// allocation-free. A workspace is not tied to one plan and must not be used
+// by two Forward calls at once.
+type Workspace struct {
+	bufs   []tensor.Matrix
+	logits tensor.Matrix
+}
+
+// planLayer is one compiled trunk stage. Stages that produce a new matrix
+// write it into their own workspace slot.
 type planLayer interface {
-	forward(x *tensor.Matrix) *tensor.Matrix
+	forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix
 	weightBytes() int
 }
 
@@ -74,8 +88,8 @@ func NewPlan(m *MADE, cfg PlanConfig) *Plan {
 	if !ok {
 		panic(fmt.Sprintf("made: final layer is %T, expected *nn.MaskedLinear", layers[len(layers)-1]))
 	}
-	p := &Plan{out: m.Out, logits: &tensor.Matrix{}, quantized: cfg.Quantize}
-	trunk, trunkOrder := compileStack(layers[:len(layers)-1], nil, nil, cfg.Quantize)
+	p := &Plan{out: m.Out, quantized: cfg.Quantize}
+	trunk, trunkOrder := compileStack(layers[:len(layers)-1], nil, nil, cfg.Quantize, &p.slots)
 	p.trunk = trunk
 	p.proj = packOutput(&last.Linear, m.Out, trunkOrder, cfg.Quantize)
 	return p
@@ -103,9 +117,10 @@ func (p *Plan) WeightBytes() int {
 // compileStack compiles a trunk layer list. rowOrder is the layout of the
 // stack's input buffer (nil = natural). forceCols, when non-nil, pins the
 // column order of the stack's final re-ordering layer (residual branches
-// must end in the layout they started in, so the skip add lines up). It
-// returns the compiled stack and the layout its output is in.
-func compileStack(layers []nn.Layer, rowOrder, forceCols []int32, quant bool) ([]planLayer, []int32) {
+// must end in the layout they started in, so the skip add lines up). Each
+// stage that needs an output buffer takes the next workspace slot from
+// *slots. It returns the compiled stack and the layout its output is in.
+func compileStack(layers []nn.Layer, rowOrder, forceCols []int32, quant bool, slots *int) ([]planLayer, []int32) {
 	out := make([]planLayer, 0, len(layers))
 	// Find the last layer that re-orders columns, so forceCols lands on it.
 	pinIdx := -1
@@ -126,11 +141,11 @@ func compileStack(layers []nn.Layer, rowOrder, forceCols []int32, quant bool) ([
 		}
 		switch l := l.(type) {
 		case *nn.MaskedLinear:
-			pl := packLinear(&l.Linear, colOrder, pin, quant)
+			pl := packLinear(&l.Linear, colOrder, pin, quant, nextSlot(slots))
 			colOrder = pl.cols
 			out = append(out, pl)
 		case *nn.Linear:
-			pl := packLinear(l, colOrder, pin, quant)
+			pl := packLinear(l, colOrder, pin, quant, nextSlot(slots))
 			colOrder = pl.cols
 			out = append(out, pl)
 		case *nn.ReLU:
@@ -150,14 +165,20 @@ func compileStack(layers []nn.Layer, rowOrder, forceCols []int32, quant bool) ([
 			if want == nil {
 				want = identityOrder(innerOutWidth(inner))
 			}
-			compiled, _ := compileStack(inner.Layers, colOrder, want, quant)
-			out = append(out, &residualPlan{inner: compiled, out: &tensor.Matrix{}})
+			compiled, _ := compileStack(inner.Layers, colOrder, want, quant, slots)
+			out = append(out, &residualPlan{inner: compiled, slot: nextSlot(slots)})
 			colOrder = want
 		default:
 			panic(fmt.Sprintf("made: cannot compile layer %T", l))
 		}
 	}
 	return out, colOrder
+}
+
+// nextSlot hands out the next workspace slot index.
+func nextSlot(slots *int) int {
+	*slots++
+	return *slots - 1
 }
 
 func innerOutWidth(s *nn.Sequential) int {
@@ -195,7 +216,7 @@ type packedLinear struct {
 	wq        []int8    // quantized spans; same offsets as w
 	scale     []float32 // per input row: dequant scale of its span
 	bias      []float32 // re-ordered; nil when the layer has none
-	out       *tensor.Matrix
+	slot      int       // workspace slot of the output buffer
 }
 
 func (p *packedLinear) weightBytes() int {
@@ -204,8 +225,9 @@ func (p *packedLinear) weightBytes() int {
 
 // packLinear snapshots l. rowOrder is the layout of the incoming activation
 // buffer (nil = natural); colOrder pins the output layout (nil = sort units
-// by connectivity extent so spans are tight). quant selects int8 spans.
-func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool) *packedLinear {
+// by connectivity extent so spans are tight). quant selects int8 spans; slot
+// is the workspace slot Forward writes the output into.
+func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool, slot int) *packedLinear {
 	W := l.Weight.W
 	if rowOrder == nil {
 		rowOrder = identityOrder(l.In)
@@ -213,7 +235,7 @@ func packLinear(l *nn.Linear, rowOrder, colOrder []int32, quant bool) *packedLin
 	if colOrder == nil {
 		colOrder = sortBySupport(W, rowOrder)
 	}
-	p := &packedLinear{inW: l.In, outW: l.Out, cols: colOrder, out: &tensor.Matrix{}}
+	p := &packedLinear{inW: l.In, outW: l.Out, cols: colOrder, slot: slot}
 	p.start = make([]int32, l.In)
 	p.wOff = make([]int32, l.In+1)
 	row := make([]float32, l.Out) // layer row in output layout
@@ -269,8 +291,8 @@ func sortBySupport(W *tensor.Matrix, rowOrder []int32) []int32 {
 	return ord
 }
 
-func (p *packedLinear) forward(x *tensor.Matrix) *tensor.Matrix {
-	out := p.out.Resize(x.Rows, p.outW)
+func (p *packedLinear) forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
+	out := ws.bufs[p.slot].Resize(x.Rows, p.outW)
 	quant := p.wq != nil
 	tensor.ParallelFor(x.Rows, 8, func(rlo, rhi int) {
 		for r := rlo; r < rhi; r++ {
@@ -318,7 +340,9 @@ func (p *packedLinear) forward(x *tensor.Matrix) *tensor.Matrix {
 
 type reluInPlace struct{}
 
-func (reluInPlace) forward(x *tensor.Matrix) *tensor.Matrix {
+// forward rectifies x in place: x is always the previous stage's workspace
+// buffer (every stack starts with a linear layer), never the caller's input.
+func (reluInPlace) forward(_ *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	for i, v := range x.Data {
 		x.Data[i] = max(v, 0)
 	}
@@ -331,15 +355,15 @@ func (reluInPlace) weightBytes() int { return 0 }
 
 type residualPlan struct {
 	inner []planLayer
-	out   *tensor.Matrix
+	slot  int // workspace slot of the skip-sum buffer
 }
 
-func (p *residualPlan) forward(x *tensor.Matrix) *tensor.Matrix {
+func (p *residualPlan) forward(ws *Workspace, x *tensor.Matrix) *tensor.Matrix {
 	fx := x
 	for _, l := range p.inner {
-		fx = l.forward(fx)
+		fx = l.forward(ws, fx)
 	}
-	out := p.out.Resize(x.Rows, x.Cols)
+	out := ws.bufs[p.slot].Resize(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = v + fx.Data[i]
 	}
@@ -455,17 +479,22 @@ func (p *packedOutput) forward(h *tensor.Matrix, needed [][]int32, logits *tenso
 	})
 }
 
-// Forward runs the plan on a batch. needed[r] lists the output blocks to
-// compute for row r, ascending; segments of blocks not requested hold
-// unspecified values. The returned matrix is owned by the plan and valid
-// until the next Forward. Rows are processed independently in a fixed
-// order, so results are bitwise independent of batch composition.
-func (p *Plan) Forward(x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
+// Forward runs the plan on a batch, writing every intermediate into ws.
+// needed[r] lists the output blocks to compute for row r, ascending;
+// segments of blocks not requested hold unspecified values. The returned
+// matrix is owned by ws and valid until its next Forward. x is only read.
+// Rows are processed independently in a fixed order, so results are
+// bitwise independent of batch composition. Concurrent calls are safe as
+// long as each passes its own workspace.
+func (p *Plan) Forward(ws *Workspace, x *tensor.Matrix, needed [][]int32) *tensor.Matrix {
+	if len(ws.bufs) < p.slots {
+		ws.bufs = append(ws.bufs, make([]tensor.Matrix, p.slots-len(ws.bufs))...)
+	}
 	h := x
 	for _, l := range p.trunk {
-		h = l.forward(h)
+		h = l.forward(ws, h)
 	}
-	logits := p.logits.Resize(x.Rows, p.out.Tot)
+	logits := ws.logits.Resize(x.Rows, p.out.Tot)
 	p.proj.forward(h, needed, logits)
 	return logits
 }

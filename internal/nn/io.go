@@ -26,7 +26,9 @@ func SaveParams(w io.Writer, params []*Param) error {
 }
 
 // LoadParams restores parameter values saved by SaveParams into params,
-// validating shapes positionally.
+// validating shapes positionally. A blob whose data length disagrees with
+// its declared shape (a truncated or padded save) is an error naming the
+// parameter, and a failed load changes no parameter.
 func LoadParams(r io.Reader, params []*Param) error {
 	dec := gob.NewDecoder(r)
 	var blobs []paramBlob
@@ -42,7 +44,15 @@ func LoadParams(r io.Reader, params []*Param) error {
 			return fmt.Errorf("nn: load params: %q shape %dx%d, model expects %dx%d",
 				b.Name, b.Rows, b.Cols, p.W.Rows, p.W.Cols)
 		}
-		copy(p.W.Data, b.Data)
+		if len(b.Data) != b.Rows*b.Cols {
+			return fmt.Errorf("nn: load params: %q has %d values, shape %dx%d needs %d",
+				b.Name, len(b.Data), b.Rows, b.Cols, b.Rows*b.Cols)
+		}
+	}
+	// Every blob is valid: only now overwrite, so a failed load leaves the
+	// model as it was.
+	for i, b := range blobs {
+		copy(params[i].W.Data, b.Data)
 	}
 	return nil
 }

@@ -6,14 +6,18 @@
 // changing any individual estimate.
 //
 // The engine sits between callers and a batch-native Backend (core.Model's
-// EstimateCardBatch). Concurrent Estimate calls are queued to one dispatcher
+// EstimateCardBatch), which is safe for concurrent use: the engine holds no
+// lock around it. Concurrent Estimate calls are queued to one dispatcher
 // goroutine that collects up to MaxBatch requests, waiting at most
 // FlushWindow for co-travellers after the first arrival, deduplicates them
 // by canonical predicate-set key, and answers the whole micro-batch with one
-// forward pass. A canonical-key LRU cache in front short-circuits repeated
-// queries entirely. Because the backend retains its forward buffers and the
-// request path reuses pooled scratch, steady-state serving performs no
-// per-request matrix allocations.
+// forward pass. EstimateBatch callers, who batched already, skip the queue
+// and call the backend directly from their own goroutines, in parallel with
+// each other and with the dispatcher. A canonical-key LRU cache in front
+// short-circuits repeated queries entirely. Because the backend keeps its
+// forward buffers in pooled per-call workspaces and the request path reuses
+// pooled scratch, steady-state serving performs no per-request matrix
+// allocations.
 //
 // Estimates are deterministic under coalescing: the batch plan's kernels
 // compute output rows independently with fixed accumulation order, so a
@@ -38,8 +42,10 @@ import (
 )
 
 // Backend answers a batch of queries with one forward pass. core.Model
-// implements it. Backends are assumed NOT safe for concurrent use; the
-// engine serializes every call.
+// implements it. A Backend must be safe for concurrent use: the dispatcher
+// and every EstimateBatch caller invoke it in parallel, and no engine lock
+// serializes them. Results must depend only on each query, not on the batch
+// it rides in or on concurrent calls.
 type Backend interface {
 	EstimateCardBatch(qs []workload.Query) []float64
 }
@@ -126,8 +132,6 @@ type Estimator struct {
 	backend Backend
 	cache   *lruCache
 
-	backendMu sync.Mutex // serializes backend calls (dispatcher + EstimateBatch)
-
 	reqs    chan request
 	done    chan struct{} // closed by Close: stop accepting work
 	drained chan struct{} // closed when the dispatcher has exited
@@ -135,17 +139,18 @@ type Estimator struct {
 
 	bucket *bucket // nil when no rate budget is configured
 
-	met        engineMetrics
-	reqPool    sync.Pool // recycles result channels across requests
-	dispBatch  []request // dispatcher-only scratch
-	dispQs     []workload.Query
-	dispIdx    map[string]int
-	sampleTick uint64 // dispatcher-only: 1-in-8 stage-clock sampling
+	met          engineMetrics
+	reqPool      sync.Pool // recycles result channels across requests
+	batchScratch sync.Pool // *batchScratch for EstimateBatch
+	dispBatch    []request // dispatcher-only scratch
+	dispQs       []workload.Query
+	dispIdx      map[string]int
+	sampleTick   uint64 // dispatcher-only: 1-in-8 stage-clock sampling
 }
 
-// New starts a serving engine over backend. The caller owns backend and must
-// not use it concurrently with the estimator; all model access goes through
-// the engine after this point.
+// New starts a serving engine over backend. The caller keeps ownership of
+// backend and may keep estimating through it directly; it must not retrain
+// or reconfigure it while the engine serves.
 func New(backend Backend, cfg Config) *Estimator {
 	cfg = cfg.withDefaults()
 	e := &Estimator{
@@ -163,6 +168,7 @@ func New(backend Backend, cfg Config) *Estimator {
 	}
 	registerEngineGauges(cfg.Obs, cfg.ObsModel, e)
 	e.reqPool.New = func() any { return make(chan float64, 1) }
+	e.batchScratch.New = func() any { return &batchScratch{first: make(map[string]int)} }
 	go e.run()
 	return e
 }
@@ -273,8 +279,9 @@ func (e *Estimator) Estimate(ctx context.Context, q workload.Query) (float64, er
 
 // EstimateBatch answers an explicit batch, serving cache hits directly and
 // pushing the distinct misses through the backend in MaxBatch-sized chunks.
-// It bypasses the coalescing queue — the caller has already batched — but
-// shares the backend serialization and the result cache with it.
+// It bypasses the coalescing queue — the caller has already batched — and
+// calls the backend from the caller's goroutine, sharing only the result
+// cache with the dispatcher.
 func (e *Estimator) EstimateBatch(ctx context.Context, qs []workload.Query) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -288,28 +295,32 @@ func (e *Estimator) EstimateBatch(ctx context.Context, qs []workload.Query) ([]f
 	tr := obs.FromContext(ctx)
 	timed := e.met.timed || tr != nil
 	out := make([]float64, len(qs))
-	keys := make([]string, len(qs))
-	missIdx := make(map[string][]int, len(qs)) // key -> positions awaiting it
-	var misses []workload.Query
-	var missKeys []string
+	sc := e.batchScratch.Get().(*batchScratch)
+	defer sc.release(&e.batchScratch)
 	var t0 time.Time
 	if timed {
 		t0 = time.Now()
 	}
 	hits := 0
+	misses, missKeys, missOf := sc.misses[:0], sc.missKeys[:0], sc.missOf[:0]
 	for i, q := range qs {
-		keys[i] = q.CanonicalKey()
-		if card, ok := e.cache.get(keys[i]); ok {
+		key := q.CanonicalKey()
+		if card, ok := e.cache.get(key); ok {
 			hits++
 			out[i] = card
+			missOf = append(missOf, -1)
 			continue
 		}
-		if _, dup := missIdx[keys[i]]; !dup {
+		j, dup := sc.first[key]
+		if !dup {
+			j = len(misses)
+			sc.first[key] = j
 			misses = append(misses, q)
-			missKeys = append(missKeys, keys[i])
+			missKeys = append(missKeys, key)
 		}
-		missIdx[keys[i]] = append(missIdx[keys[i]], i)
+		missOf = append(missOf, j)
 	}
+	sc.misses, sc.missKeys, sc.missOf = misses, missKeys, missOf
 	e.met.hits.Add(uint64(hits))
 	if dups := len(qs) - hits - len(misses); dups > 0 {
 		e.met.dedup.Add(uint64(dups))
@@ -365,14 +376,36 @@ func (e *Estimator) EstimateBatch(ctx context.Context, qs []workload.Query) ([]f
 			tr.AddSpan("plan_exec", t0, d, "batch_size", strconv.Itoa(len(chunk)))
 		}
 		for j := range chunk {
-			key := missKeys[lo+j]
-			e.cache.put(key, cards[j])
-			for _, pos := range missIdx[key] {
-				out[pos] = cards[j]
-			}
+			e.cache.put(missKeys[lo+j], cards[j])
+		}
+		sc.cards = append(sc.cards, cards...)
+	}
+	for i, j := range missOf {
+		if j >= 0 {
+			out[i] = sc.cards[j]
 		}
 	}
 	return out, nil
+}
+
+// batchScratch is EstimateBatch's per-call bookkeeping, pooled so the cache
+// lookup stage allocates nothing beyond the keys themselves.
+type batchScratch struct {
+	first    map[string]int   // key -> index of its distinct miss
+	misses   []workload.Query // distinct misses, in first-seen order
+	missKeys []string         // their keys
+	missOf   []int            // per query: index of its miss, -1 for a cache hit
+	cards    []float64        // per distinct miss: its estimate
+}
+
+// release clears sc (dropping references to the caller's queries and keys)
+// and returns it to pool.
+func (sc *batchScratch) release(pool *sync.Pool) {
+	clear(sc.first)
+	clear(sc.misses)
+	clear(sc.missKeys)
+	sc.cards = sc.cards[:0]
+	pool.Put(sc)
 }
 
 // Stats returns a snapshot of the engine counters. The fields read the same
@@ -526,12 +559,10 @@ func (e *Estimator) flush(batch []request) {
 	e.dispQs = qs[:0]
 }
 
-// forward runs one serialized backend pass and updates the batch counters.
-// sampled mirrors the flush-path clock sampling for the size histogram.
+// forward runs one backend pass and updates the batch counters. sampled
+// mirrors the flush-path clock sampling for the size histogram.
 func (e *Estimator) forward(qs []workload.Query, sampled bool) []float64 {
-	e.backendMu.Lock()
 	cards := e.backend.EstimateCardBatch(qs)
-	e.backendMu.Unlock()
 	e.met.batches.Inc()
 	e.met.batched.Add(uint64(len(qs)))
 	e.met.maxBatch.SetMax(float64(len(qs)))

@@ -7,8 +7,8 @@ import (
 
 // Kernel tier dispatch.
 //
-// Every hot-path primitive in this package (Saxpy, SaxpyI8 and the blocked
-// GEMM microkernel behind Mul/MulBT/MulATAdd) is reached through an impl
+// Every hot-path primitive in this package (Saxpy, SaxpyI8, ExpSum and the
+// blocked GEMM microkernel behind Mul/MulBT/MulATAdd) is reached through an impl
 // pointer selected once at init from CPU feature detection: "avx2" (256-bit,
 // amd64 with AVX2), "sse" (128-bit, any amd64), "neon" (128-bit, arm64) and
 // "generic" (pure Go, every platform). DUET_KERNEL=<tier> overrides the
@@ -42,6 +42,7 @@ type kernel struct {
 	name         string
 	saxpy        func(alpha float32, x, y []float32)
 	saxpyI8      func(alpha float32, q []int8, y []float32)
+	expSum       func(x []float32, m float32) float32
 	gemmTile     gemmTileFunc
 	tileM, tileN int
 }
@@ -50,6 +51,7 @@ var genericKernel = kernel{
 	name:     "generic",
 	saxpy:    saxpyGeneric,
 	saxpyI8:  saxpyI8Generic,
+	expSum:   expSumGeneric,
 	gemmTile: gemmTileGeneric,
 	tileM:    4,
 	tileN:    4,
@@ -64,6 +66,7 @@ var (
 	activeKernel         kernel
 	saxpyImpl            func(alpha float32, x, y []float32)
 	saxpyI8Impl          func(alpha float32, q []int8, y []float32)
+	expSumImpl           func(x []float32, m float32) float32
 	gemmTileImpl         gemmTileFunc
 	gemmTileM, gemmTileN int
 )
@@ -89,6 +92,7 @@ func setKernel(k kernel) {
 	activeKernel = k
 	saxpyImpl = k.saxpy
 	saxpyI8Impl = k.saxpyI8
+	expSumImpl = k.expSum
 	gemmTileImpl = k.gemmTile
 	gemmTileM = k.tileM
 	gemmTileN = k.tileN

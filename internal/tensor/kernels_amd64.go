@@ -30,6 +30,15 @@ func saxpyI8SSEAsm(alpha float32, q []int8, y []float32)
 //go:noescape
 func saxpyI8AVX2Asm(alpha float32, q []int8, y []float32)
 
+// expSumSSEAsm and expSumAVX2Asm (expsum_amd64.s) add the ExpSum terms of
+// x into the 8 lane accumulators; len(x) must be a multiple of 8.
+//
+//go:noescape
+func expSumSSEAsm(x []float32, m float32, acc *[8]float32)
+
+//go:noescape
+func expSumAVX2Asm(x []float32, m float32, acc *[8]float32)
+
 // gemmTile8x4SSEAsm accumulates an 8x4 tile (see gemmTileFunc).
 //
 //go:noescape
@@ -56,11 +65,30 @@ func saxpyI8AVX2(alpha float32, q []int8, y []float32) {
 	saxpyI8Generic(alpha, q[n:], y[n:len(q)])
 }
 
+func expSumSSE(x []float32, m float32) float32 {
+	var acc [8]float32
+	n := len(x) &^ 7
+	if n > 0 {
+		expSumSSEAsm(x[:n], m, &acc)
+	}
+	return expSumFinish(&acc, x[n:], m)
+}
+
+func expSumAVX2(x []float32, m float32) float32 {
+	var acc [8]float32
+	n := len(x) &^ 7
+	if n > 0 {
+		expSumAVX2Asm(x[:n], m, &acc)
+	}
+	return expSumFinish(&acc, x[n:], m)
+}
+
 func archKernels() []kernel {
 	sse := kernel{
 		name:     "sse",
 		saxpy:    saxpyAsm,
 		saxpyI8:  saxpyI8SSE,
+		expSum:   expSumSSE,
 		gemmTile: gemmTile8x4SSEAsm,
 		tileM:    8,
 		tileN:    4,
@@ -72,6 +100,7 @@ func archKernels() []kernel {
 		name:     "avx2",
 		saxpy:    saxpyAVX2Asm,
 		saxpyI8:  saxpyI8AVX2,
+		expSum:   expSumAVX2,
 		gemmTile: gemmTile8x8AVX2Asm,
 		tileM:    8,
 		tileN:    8,

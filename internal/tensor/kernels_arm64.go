@@ -6,7 +6,8 @@ package tensor
 // runtime detection is needed). The kernels use unfused FMUL/FADD vector
 // pairs — never FMLA — to keep the two-rounding bitwise contract with the
 // generic reference (which pins its own rounding with explicit float32(...)
-// conversions precisely because the arm64 compiler fuses otherwise).
+// conversions precisely because the arm64 compiler fuses otherwise). ExpSum
+// has no NEON kernel and runs the generic loop.
 
 // saxpyNEONAsm requires len(x) to be a multiple of 8; the Go wrapper
 // finishes the tail with the generic loop (bitwise-identical per element).
@@ -45,6 +46,7 @@ func archKernels() []kernel {
 		name:     "neon",
 		saxpy:    saxpyNEON,
 		saxpyI8:  saxpyI8NEON,
+		expSum:   expSumGeneric, // no NEON ExpSum yet; the generic loop is the reference
 		gemmTile: gemmTile8x8NEONAsm,
 		tileM:    8,
 		tileN:    8,

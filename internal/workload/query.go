@@ -164,16 +164,6 @@ func (q Query) ColumnIntervals(t *relation.Table) []Interval {
 	return out
 }
 
-// ConstrainedMask returns a bitmask slice with true for columns touched by
-// at least one predicate.
-func (q Query) ConstrainedMask(ncols int) []bool {
-	mask := make([]bool, ncols)
-	for _, p := range q.Preds {
-		mask[p.Col] = true
-	}
-	return mask
-}
-
 // LabeledQuery pairs a query with its true cardinality.
 type LabeledQuery struct {
 	Query Query
